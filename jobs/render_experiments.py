@@ -93,6 +93,8 @@ def e2e_section(data):
             f" {r.get('greedy_s', '—')} | {r.get('ratio_s', '—')} |"
             f" {r.get('lru_s', '—')} |"
         )
+    if "environment" in data:
+        out.append(f"\nMeasured with {data['environment']}.")
     return "\n".join(out)
 
 
@@ -231,8 +233,8 @@ Greedy/Random/Ratio/LRU.
 
 Shape check: S/C beats or matches the unoptimized engine on every
 workload, with the largest wins where I/O dominates, and the LRU
-result-cache baseline gains nothing (it caches results *after* paying
-the synchronous write, as in the paper) — the paper's qualitative
+result-cache baseline gains far less than S/C (it caches results only
+*after* paying the synchronous write, as in the paper) — the paper's qualitative
 result at its most conservative operating point (plain TPC-DS,
 smallest catalog). Caveat: among the *optimized* variants (S/C vs
 Greedy/Ratio flagging, all sharing the Controller and MA-DFS order),

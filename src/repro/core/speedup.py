@@ -8,8 +8,8 @@ The paper defines the speedup score of flagging node v_i as
 i.e. every child saves the disk-read of v_i's output, and v_i itself
 saves its synchronous write (the materialization overlaps downstream
 compute, §III-C). We estimate both terms from observed metadata: output
-bytes on disk and measured disk/memory bandwidths (or directly measured
-per-node read/write times from a profiling run, `warehouse.metadata`).
+bytes on disk and per-node read/write times measured by a profiling run
+(`warehouse.metadata`).
 """
 from __future__ import annotations
 
@@ -67,27 +67,3 @@ def speedup_score(stats: NodeStats, n_children: int) -> float:
     write_saving = stats.write_s - stats.flag_write_s - stats.overlap_penalty_s
     return max(0.0, read_saving + write_saving)
 
-
-def stats_from_bandwidth(
-    out_bytes: float,
-    compute_s: float,
-    *,
-    read_bw: float,
-    write_bw: float,
-    mem_bw: float = float("inf"),
-    overlap_penalty_s: float = 0.0,
-) -> NodeStats:
-    """Derive ``NodeStats`` from bytes and measured bandwidths (B/s).
-
-    Used when per-node read/write times were not measured directly —
-    e.g. the paper's environment quotes 519.8 MB/s read and 358.9 MB/s
-    write; `warehouse.metadata.measure_bandwidth` measures ours.
-    """
-    return NodeStats(
-        out_bytes=out_bytes,
-        compute_s=compute_s,
-        write_s=out_bytes / write_bw,
-        read_s=out_bytes / read_bw,
-        mem_read_s=0.0 if mem_bw == float("inf") else out_bytes / mem_bw,
-        overlap_penalty_s=overlap_penalty_s,
-    )

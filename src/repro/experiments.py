@@ -41,16 +41,6 @@ def nominal_bytes(sf: float) -> float:
     return sf * 1e9
 
 
-def dataset_bytes(paths: dict[str, str]) -> int:
-    """Total on-disk bytes of the base tables — the reference for the
-    paper's 'x % of data size' Memory Catalog sizing."""
-    total = 0
-    for p in paths.values():
-        for root, _, files in os.walk(p):
-            total += sum(os.path.getsize(os.path.join(root, f)) for f in files)
-    return total
-
-
 def profile_all(
     spark: SparkSession,
     base_paths: dict[str, str],

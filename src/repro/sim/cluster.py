@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.graph import Plan
-from repro.sim.engine import SimTotals, simulate_run
+from repro.sim.engine import simulate_run
 from repro.warehouse.metadata import WorkloadProfile
 from repro.workloads.spec import WorkloadSpec
 
@@ -69,9 +69,3 @@ def cluster_sweep(
         rows.append(ClusterRow(k, no_opt, sc))
     return rows
 
-
-def totals_pair(
-    wl: WorkloadSpec, prof: WorkloadProfile, base: Plan, opt: Plan
-) -> tuple[SimTotals, SimTotals]:
-    """Convenience: (no-opt totals, S/C totals) at one worker."""
-    return simulate_run(wl, prof, base), simulate_run(wl, prof, opt)

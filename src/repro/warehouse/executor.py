@@ -13,12 +13,22 @@ order, directing where each output lives (paper Fig. 6):
 * **unflagged** node → encoded and transferred synchronously;
   downstream reads re-scan Parquet and pay the transfer delay.
 
-A flagged node is released (unpersisted, catalog slot freed) as soon as
-its last child finishes — but never before its background
-materialization completed, so every MV is always fully persisted by the
-end of the run (the paper's SLA guarantee). Childless flagged nodes are
-freed at the end of the run, matching the planner's conservative
-residency model (`core.graph`).
+A flagged node is released (unpersisted, catalog slot freed) once its
+last child has run and its background transfer is done, so every MV is
+fully persisted by the end of the run (the paper's SLA guarantee).
+
+Each MV's temp view is bound exactly once per refresh, before any
+reader, and never rebound: a flagged node's view points at its cached
+DataFrame, every other node's at its written Parquet. Releasing is
+``unpersist`` alone. Replacing a temp view in Spark uncaches, with
+cascade, every cached plan built on the old view, which would silently
+drop still-resident flagged children out of the cache.
+
+The same loop runs the baselines through a ``ResidencyPolicy``: no-opt
+is the S/C policy with nothing flagged, and the LRU result cache
+(`warehouse.lru`) keeps written outputs cached, with the Memory Catalog
+as its byte ledger too. On every exit path the refresh unpersists what
+it cached and shuts its writer down.
 
 ``storage`` is the optional emulated-NFS model (`warehouse.storage`):
 reads of disk-resident tables and all writes additionally pay
@@ -32,8 +42,9 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import Callable
 
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.storagelevel import StorageLevel
 
 from repro.core.graph import Plan
@@ -51,19 +62,11 @@ def n_output_partitions(est_bytes: float) -> int:
     return max(1, min(16, int(est_bytes // _PARTITION_BYTES) + 1))
 
 
-def dir_bytes(path: str) -> int:
-    total = 0
-    for root, _, files in os.walk(path):
-        total += sum(os.path.getsize(os.path.join(root, f)) for f in files)
-    return total
-
-
 @dataclass
 class NodeTiming:
     name: str
     flagged: bool
-    exec_s: float  # SQL execution (+ cache materialization if flagged)
-    write_s: float  # synchronous write time (0 for flagged nodes)
+    exec_s: float  # storage reads, SQL, encode, sync transfer, cache fill
     mem_parents: int  # parents read from the Memory Catalog
     disk_parents: int  # parents re-read from storage
 
@@ -77,6 +80,26 @@ class RunReport:
     nodes: list[NodeTiming] = field(default_factory=list)
     peak_catalog_bytes: float = 0.0
     async_write_wait_s: float = 0.0  # tail wait for background writes
+
+
+class ResidencyPolicy:
+    """Which *unflagged* outputs stay cached after their synchronous
+    write. This default keeps none: S/C and no-opt cache only flagged
+    outputs."""
+
+    def touch(self, name: str) -> None:
+        """A child read the cached output ``name``."""
+
+    def admit(
+        self,
+        name: str,
+        nbytes: float,
+        catalog: MemoryCatalog,
+        evict: Callable[[str], None],
+    ) -> bool:
+        """Whether the just-written output ``name`` of ``nbytes`` stays
+        cached; may ``evict`` resident outputs first to make room."""
+        return False
 
 
 def register_base_tables(spark: SparkSession, paths: dict[str, str]) -> None:
@@ -117,9 +140,27 @@ def run_workload(
     delays; ``budget`` is the catalog bound M. All MVs end up
     materialized under ``out_dir/<name>``.
     """
+    return _refresh(
+        spark, wl, plan, sizes, budget, out_dir, base_paths, storage,
+        ResidencyPolicy(),
+    )
+
+
+def _refresh(
+    spark: SparkSession,
+    wl: WorkloadSpec,
+    plan: Plan,
+    sizes: dict[str, float],
+    budget: float,
+    out_dir: str,
+    base_paths: dict[str, str],
+    storage: StorageModel | None,
+    policy: ResidencyPolicy,
+) -> RunReport:
+    """The one refresh loop behind `run_workload` and
+    `warehouse.lru.run_workload_lru`."""
     os.makedirs(out_dir, exist_ok=True)
     register_base_tables(spark, base_paths)
-    base_bytes = {t: float(dir_bytes(p)) for t, p in base_paths.items()}
     names = wl.node_names
     flagged_names = frozenset(names[i] for i in plan.flagged)
     catalog = MemoryCatalog(budget)
@@ -127,21 +168,14 @@ def run_workload(
         n: sum(1 for nd in wl.nodes for p in nd.parents if p == n)
         for n in names
     }
-    cached_dfs: dict[str, object] = {}
-    write_futures: dict[str, Future] = {}
+    cached: dict[str, DataFrame] = {}  # in the catalog, persisted by us
+    transfers: dict[str, Future] = {}  # flagged, not yet released
     report = RunReport(
         workload=wl.name,
         plan_order=tuple(names[i] for i in plan.order),
         flagged=flagged_names,
         total_s=0.0,
     )
-
-    def write_parquet(df, name: str) -> None:
-        """Local Parquet encode (synchronous; CPU work stays on the
-        critical path for both plans so overlap never hides compute)."""
-        df.coalesce(n_output_partitions(sizes[name])).write.mode(
-            "overwrite"
-        ).parquet(os.path.join(out_dir, name))
 
     def transfer(name: str) -> None:
         """Emulated NFS transfer of the encoded output — pure channel
@@ -151,96 +185,93 @@ def run_workload(
         if storage:
             storage.pay_write(sizes[name])
 
-    def pay_disk_reads(nd) -> None:
-        """Storage delays for ``nd``'s disk-resident *intermediate*
-        inputs (unflagged or already-released parents). Base tables stay
-        on fast local storage — S/C's mechanism concerns intermediate
-        materialization, and exempting base scans isolates exactly the
-        I/O it can short-circuit (DESIGN.md §4.1)."""
-        if not storage:
-            return
-        for p in nd.parents:
-            if p not in catalog:
-                storage.pay_read(sizes[p])
+    def cache(name: str, df: DataFrame) -> DataFrame:
+        df = df.persist(StorageLevel.MEMORY_AND_DISK)
+        cached[name] = df
+        df.count()  # materialize into the cache
+        return df
 
-    # A flagged node whose children all finished becomes *releasable*:
-    # its catalog slot frees once the background write completes. The
-    # pipeline never blocks on that — finalization is lazy, and only a
-    # catalog reservation that actually needs the space waits for it.
-    releasing: dict[str, Future] = {}
+    def release(name: str) -> None:
+        cached.pop(name).unpersist()
+        catalog.release(name)
 
-    def finalize_done() -> None:
-        for name in [n for n, f in releasing.items() if f.done()]:
-            f = releasing.pop(name)
-            f.result()  # surface background-write errors
-            cached_dfs.pop(name).unpersist()
-            catalog.release(name)
-            # Any later reader (none among children) sees the disk copy.
-            spark.read.parquet(
-                os.path.join(out_dir, name)
-            ).createOrReplaceTempView(name)
+    # A flagged node whose children all ran is *releasable* once its
+    # background transfer completes. The pipeline never blocks on that:
+    # release is lazy, and only a catalog reservation that actually
+    # needs the space waits for it.
+    def releasable() -> list[Future]:
+        return [f for n, f in transfers.items() if pending_children[n] == 0]
+
+    def release_finished() -> None:
+        for name in [n for n, f in transfers.items()
+                     if pending_children[n] == 0 and f.done()]:
+            transfers.pop(name).result()  # surface background-write errors
+            release(name)
 
     def reserve(name: str, nbytes: float) -> None:
         """Claim catalog space, waiting out pending releases if the
         budget is momentarily exhausted; raises only when no pending
         release could ever free enough (an infeasible plan)."""
-        finalize_done()
-        while catalog.used + nbytes > catalog.budget + 1e-9 and releasing:
-            wait(list(releasing.values()), return_when=FIRST_COMPLETED)
-            finalize_done()
+        release_finished()
+        while catalog.used + nbytes > catalog.budget + 1e-9 and releasable():
+            wait(releasable(), return_when=FIRST_COMPLETED)
+            release_finished()
         catalog.add(name, nbytes)  # raises CatalogOverflowError if over
 
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=1) as pool:  # one storage channel
+    pool = ThreadPoolExecutor(max_workers=1)  # one storage channel
+    try:
         for i in plan.order:
             nd = wl.nodes[i]
-            finalize_done()
-            mem_p = sum(1 for p in nd.parents if p in catalog)
-            disk_p = len(nd.parents) - mem_p
+            release_finished()
             te = time.perf_counter()
-            pay_disk_reads(nd)
+            mem_p = 0
+            for p in nd.parents:
+                if p in catalog:
+                    policy.touch(p)
+                    mem_p += 1
+                elif storage:
+                    # Base tables stay on fast local storage: S/C's
+                    # mechanism concerns intermediate materialization,
+                    # and exempting base scans isolates exactly the I/O
+                    # it can short-circuit (DESIGN.md §4.1).
+                    storage.pay_read(sizes[p])
             df = spark.sql(nd.sql)
+            path = os.path.join(out_dir, nd.name)
+            nbytes = sizes[nd.name]
             if nd.name in flagged_names:
-                reserve(nd.name, sizes[nd.name])
-                df = df.persist(StorageLevel.MEMORY_AND_DISK)
-                df.count()  # materialize into the Memory Catalog
-                df.createOrReplaceTempView(nd.name)
-                cached_dfs[nd.name] = df
-                # encode locally now; ship to "NFS" in the background
-                write_parquet(df, nd.name)
-                exec_s = time.perf_counter() - te
-                write_futures[nd.name] = pool.submit(transfer, nd.name)
-                write_s = 0.0
+                reserve(nd.name, nbytes)
+                df = cache(nd.name, df)
+            # Local Parquet encode, synchronous for every node: CPU work
+            # stays on the critical path so overlap never hides compute.
+            df.coalesce(n_output_partitions(nbytes)).write.mode(
+                "overwrite"
+            ).parquet(path)
+            if nd.name in flagged_names:
+                transfers[nd.name] = pool.submit(transfer, nd.name)
             else:
-                write_parquet(df, nd.name)
                 transfer(nd.name)  # synchronous transfer, critical path
-                exec_s = time.perf_counter() - te
-                write_s = 0.0  # folded into exec_s for sync writes
-                spark.read.parquet(
-                    os.path.join(out_dir, nd.name)
-                ).createOrReplaceTempView(nd.name)
+                df = spark.read.parquet(path)
+                if policy.admit(nd.name, nbytes, catalog, release):
+                    catalog.add(nd.name, nbytes)
+                    df = cache(nd.name, df)
+            df.createOrReplaceTempView(nd.name)
             report.nodes.append(
                 NodeTiming(
-                    nd.name, nd.name in flagged_names, exec_s, write_s,
-                    mem_p, disk_p,
+                    nd.name, nd.name in flagged_names,
+                    time.perf_counter() - te, mem_p, len(nd.parents) - mem_p,
                 )
             )
             for p in nd.parents:
                 pending_children[p] -= 1
-                if (
-                    pending_children[p] == 0
-                    and p in catalog
-                    and p not in releasing
-                ):
-                    releasing[p] = write_futures.pop(p)
-        # Childless flagged nodes and any writes still in flight.
         tw = time.perf_counter()
-        for n in list(write_futures):
-            releasing[n] = write_futures.pop(n)
-        if releasing:
-            wait(list(releasing.values()))
-            finalize_done()
+        wait(list(transfers.values()))
+        release_finished()
         report.async_write_wait_s = time.perf_counter() - tw
+    finally:
+        pool.shutdown()
+        for df in cached.values():
+            df.unpersist()
     report.total_s = time.perf_counter() - t0
     report.peak_catalog_bytes = catalog.peak
     return report

@@ -3,31 +3,58 @@
 Models the off-the-shelf alternative S/C is compared against: the
 engine's query-result cache, grown by the same amount of memory S/C
 gets as Memory Catalog. Execution is a plain topological order with
-*synchronous* writes (no reordering, no overlapped materialization);
-after each node executes, its result is inserted into an LRU cache of
-capacity M, evicting least-recently-used entries. A child whose parent
-is still cached reads it from memory; otherwise it re-reads storage
-(paying the emulated-NFS delay when a storage model is given).
+*synchronous* writes (no reordering, no overlapped materialization).
+After each node's write, its result, read back from its own Parquet
+(one decode), is cached if it fits in capacity M, evicting
+least-recently-used entries first. A child whose parent is still cached
+reads it from memory; otherwise it re-reads storage (paying the
+emulated-NFS delay when a storage model is given).
+
+The refresh runs in the Controller's one loop (`warehouse.executor`),
+so it follows the same rules: the Memory Catalog is the byte ledger,
+each MV's temp view is bound once, to the cached result, and eviction
+is ``unpersist`` alone, after which the view reads the Parquet.
 """
 from __future__ import annotations
 
-import os
-import time
 from collections import OrderedDict
+from typing import Callable
 
 from pyspark.sql import SparkSession
-from pyspark.storagelevel import StorageLevel
 
+from repro.warehouse.catalog import MemoryCatalog
 from repro.warehouse.executor import (
-    NodeTiming,
+    ResidencyPolicy,
     RunReport,
-    dir_bytes,
-    n_output_partitions,
+    _refresh,
     no_opt_plan,
-    register_base_tables,
 )
 from repro.warehouse.storage import StorageModel
 from repro.workloads.spec import WorkloadSpec
+
+
+class LRUPolicy(ResidencyPolicy):
+    """Cache every output that fits, evicting least-recently-used ones."""
+
+    def __init__(self) -> None:
+        self.recency: OrderedDict[str, None] = OrderedDict()
+
+    def touch(self, name: str) -> None:
+        self.recency.move_to_end(name)
+
+    def admit(
+        self,
+        name: str,
+        nbytes: float,
+        catalog: MemoryCatalog,
+        evict: Callable[[str], None],
+    ) -> bool:
+        if nbytes > catalog.budget:
+            return False
+        while self.recency and catalog.used + nbytes > catalog.budget:
+            evict(self.recency.popitem(last=False)[0])
+        self.recency[name] = None
+        return True
 
 
 def run_workload_lru(
@@ -41,66 +68,7 @@ def run_workload_lru(
     storage: StorageModel | None = None,
 ) -> RunReport:
     """Refresh all MVs with an LRU result cache of ``capacity`` bytes."""
-    os.makedirs(out_dir, exist_ok=True)
-    register_base_tables(spark, base_paths)
-    base_bytes = {t: float(dir_bytes(p)) for t, p in base_paths.items()}
-    plan = no_opt_plan(wl)
-    cache: OrderedDict[str, object] = OrderedDict()
-    cache_bytes: dict[str, float] = {}
-    report = RunReport(
-        workload=wl.name,
-        plan_order=tuple(wl.node_names[i] for i in plan.order),
-        flagged=frozenset(),
-        total_s=0.0,
+    return _refresh(
+        spark, wl, no_opt_plan(wl), sizes, capacity, out_dir, base_paths,
+        storage, LRUPolicy(),
     )
-
-    def used() -> float:
-        return sum(cache_bytes.values())
-
-    def evict_until(fits: float) -> None:
-        while cache and used() + fits > capacity:
-            name, df = cache.popitem(last=False)
-            cache_bytes.pop(name)
-            df.unpersist()
-            spark.read.parquet(os.path.join(out_dir, name)).createOrReplaceTempView(
-                name
-            )
-
-    t0 = time.perf_counter()
-    for i in plan.order:
-        nd = wl.nodes[i]
-        mem_p = 0
-        te = time.perf_counter()
-        for p in nd.parents:
-            if p in cache:
-                cache.move_to_end(p)  # LRU touch
-                mem_p += 1
-            elif storage:
-                storage.pay_read(sizes[p])
-        df = spark.sql(nd.sql)
-        df.coalesce(n_output_partitions(sizes[nd.name])).write.mode(
-            "overwrite"
-        ).parquet(os.path.join(out_dir, nd.name))  # synchronous baseline
-        if storage:
-            storage.pay_write(sizes[nd.name])
-        exec_s = time.perf_counter() - te
-        nbytes = sizes[nd.name]
-        if nbytes <= capacity:
-            evict_until(nbytes)
-            cdf = df.persist(StorageLevel.MEMORY_AND_DISK)
-            cdf.count()
-            cdf.createOrReplaceTempView(nd.name)
-            cache[nd.name] = cdf
-            cache_bytes[nd.name] = nbytes
-        else:
-            spark.read.parquet(
-                os.path.join(out_dir, nd.name)
-            ).createOrReplaceTempView(nd.name)
-        report.nodes.append(
-            NodeTiming(nd.name, False, exec_s, 0.0, mem_p, len(nd.parents) - mem_p)
-        )
-        report.peak_catalog_bytes = max(report.peak_catalog_bytes, used())
-    for name, df in cache.items():
-        df.unpersist()
-    report.total_s = time.perf_counter() - t0
-    return report

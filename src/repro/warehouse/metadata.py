@@ -23,10 +23,6 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 
 from repro.core.graph import DepGraph
@@ -55,22 +51,6 @@ class WorkloadProfile:
     stats: dict[str, NodeStats]
     base_scan_s: dict[str, float]
     n_children: dict[str, int]
-
-
-def measure_bandwidth(tmpdir: str, mb: int = 64) -> tuple[float, float]:
-    """Raw Parquet (read_bw, write_bw) in B/s via pyarrow, for
-    bandwidth-derived speedup scores when no per-node profile exists."""
-    n = mb * 1024 * 1024 // 8
-    table = pa.table({"x": pa.array(np.random.default_rng(0).random(n))})
-    path = os.path.join(tmpdir, "bw.parquet")
-    t0 = time.perf_counter()
-    pq.write_table(table, path, compression="snappy")
-    write_s = time.perf_counter() - t0
-    nbytes = os.path.getsize(path)
-    t0 = time.perf_counter()
-    pq.read_table(path)
-    read_s = time.perf_counter() - t0
-    return nbytes / read_s, nbytes / write_s
 
 
 def profile_workload(
@@ -155,19 +135,3 @@ def build_depgraph(wl: WorkloadSpec, profile: WorkloadProfile) -> DepGraph:
     }
     return wl.to_depgraph(sizes, scores)
 
-
-def profile_to_frame(profile: WorkloadProfile) -> pd.DataFrame:
-    """Tabular view of a profile for reports and EXPERIMENTS.md."""
-    rows = [
-        {
-            "node": n,
-            "out_bytes": s.out_bytes,
-            "compute_s": s.compute_s,
-            "write_s": s.write_s,
-            "read_s": s.read_s,
-            "mem_read_s": s.mem_read_s,
-            "n_children": profile.n_children[n],
-        }
-        for n, s in profile.stats.items()
-    ]
-    return pd.DataFrame(rows)

@@ -58,7 +58,3 @@ class StorageModel:
 # I/O-heavy workloads' I/O share at the paper's Table III operating
 # point (~50 %) on *this* substrate. See EXPERIMENTS.md §Calibration.
 EMULATED_NFS = StorageModel(read_bw=0.8e6, write_bw=0.6e6)
-
-# The paper environment's local array (§VI-A), for reference and for
-# bandwidth-derived speedup scores at paper-like scales.
-PAPER_DISK = StorageModel(read_bw=519.8e6, write_bw=358.9e6)

@@ -97,3 +97,25 @@ def spark_chain(spark, wl: WorkloadSpec, base_paths: dict) -> dict:
             out[nd.name] = df
         _spark_chains[wl.name] = out
     return _spark_chains[wl.name]
+
+
+class CacheProbe:
+    """Stands in for the SparkSession in a refresh: before each node's
+    SQL runs, counts how many of its parents Spark still holds cached.
+    ``live[name]`` must equal the node's ``mem_parents``: a memory read
+    of a parent that is no longer cached is a silent recompute."""
+
+    def __init__(self, spark, wl: WorkloadSpec):
+        self._spark = spark
+        self._nodes = {nd.sql: nd for nd in wl.nodes}
+        self.live: dict[str, int] = {}
+
+    def sql(self, query: str):
+        nd = self._nodes[query]
+        self.live[nd.name] = sum(
+            self._spark.catalog.isCached(p) for p in nd.parents
+        )
+        return self._spark.sql(query)
+
+    def __getattr__(self, name):
+        return getattr(self._spark, name)

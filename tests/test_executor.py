@@ -6,9 +6,11 @@ flagged nodes live in the Memory Catalog within budget and are released
 right after their last child; every MV — flagged or not — ends up fully
 materialized on disk with exactly the declared contents.
 """
+import dataclasses
 import os
 
 import pytest
+from pyspark.errors import AnalysisException
 
 from repro.core.alternating import optimize
 from repro.core.graph import Plan
@@ -17,7 +19,7 @@ from repro.warehouse.catalog import CatalogOverflowError, MemoryCatalog
 from repro.warehouse.executor import no_opt_plan, run_workload
 from repro.warehouse.metadata import build_depgraph
 from repro.workloads.tpcds import workload
-from tests.conftest import duck_chain
+from tests.conftest import CacheProbe, duck_chain
 
 
 class TestMemoryCatalog:
@@ -185,3 +187,55 @@ class TestInfeasiblePlan:
                 )
         finally:
             spark.catalog.clearCache()  # drop partially-persisted MVs
+
+
+def persistent_rdd_count(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+def flag_everything(wl, prof):
+    """Every node flagged in declaration order with M = the sum of all
+    sizes: feasible, and full of flagged-to-flagged chains."""
+    sizes = {n: prof.stats[n].out_bytes for n in wl.node_names}
+    n = len(wl.nodes)
+    return Plan(tuple(range(n)), frozenset(range(n))), sizes, sum(sizes.values())
+
+
+class TestLiveCache:
+    def test_memory_reads_hit_live_cache(
+        self, spark, tpcds_base, w5_profile, tmp_path
+    ):
+        """A child's memory read must find its flagged parent still
+        cached in Spark, also after an ancestor was released."""
+        wl, prof = w5_profile
+        plan, sizes, budget = flag_everything(wl, prof)
+        probe = CacheProbe(spark, wl)
+        rep = run_workload(
+            probe, wl, plan, sizes, budget, str(tmp_path), tpcds_base
+        )
+        counted = {t.name: t.mem_parents for t in rep.nodes}
+        assert sum(counted.values()) == sum(len(nd.parents) for nd in wl.nodes)
+        assert probe.live == counted
+
+
+class TestFailure:
+    def test_failed_node_leaves_no_cache(
+        self, spark, tpcds_base, w5_profile, tmp_path
+    ):
+        """The first node with parents fails while its flagged parents
+        are cached: the error surfaces and the refresh unpersists what
+        it cached."""
+        wl, prof = w5_profile
+        plan, sizes, budget = flag_everything(wl, prof)
+        nodes = list(wl.nodes)
+        i = next(i for i, nd in enumerate(nodes) if nd.parents)
+        nodes[i] = dataclasses.replace(
+            nodes[i], sql=f"SELECT no_such_column FROM {nodes[i].parents[0]}"
+        )
+        broken = dataclasses.replace(wl, nodes=tuple(nodes))
+        before = persistent_rdd_count(spark)
+        with pytest.raises(AnalysisException):
+            run_workload(
+                spark, broken, plan, sizes, budget, str(tmp_path), tpcds_base
+            )
+        assert persistent_rdd_count(spark) <= before

@@ -5,7 +5,6 @@ import pytest
 
 from repro.experiments import (
     TABLE4_PCTS,
-    dataset_bytes,
     io_ratio,
     table3_rows,
     table4_sweep,
@@ -17,16 +16,6 @@ from repro.experiments import (
 def mini_profiles(w5_profile):
     wl, prof = w5_profile
     return {wl.name: (wl, prof)}
-
-
-class TestDatasetBytes:
-    def test_counts_parquet_bytes(self, tpcds_base):
-        total = dataset_bytes(tpcds_base)
-        assert total > 100_000  # ~MBs of parquet at SF=0.002
-
-    def test_subset_smaller(self, tpcds_base):
-        sub = {k: v for k, v in tpcds_base.items() if k == "item"}
-        assert dataset_bytes(sub) < dataset_bytes(tpcds_base)
 
 
 class TestTable3:

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from repro.warehouse.lru import run_workload_lru
+from tests.conftest import CacheProbe
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,22 @@ class TestLRUBaseline:
         locality in W5)."""
         _, rep, _, _ = lru_run
         assert sum(t.mem_parents for t in rep.nodes) > 0
+
+    @pytest.mark.parametrize("frac", [0.1, 0.25])
+    def test_memory_reads_hit_live_cache(
+        self, spark, tpcds_base, w5_profile, tmp_path, frac
+    ):
+        """Every parent counted as a cache hit is still cached in Spark
+        when the child's SQL runs, and no miss is. At 10 % capacity W5
+        evicts parents whose cached children are read afterwards."""
+        wl, prof = w5_profile
+        sizes = {n: prof.stats[n].out_bytes for n in wl.node_names}
+        probe = CacheProbe(spark, wl)
+        rep = run_workload_lru(
+            probe, wl, sizes, frac * sum(sizes.values()), str(tmp_path),
+            tpcds_base,
+        )
+        assert probe.live == {t.name: t.mem_parents for t in rep.nodes}
 
     def test_zero_capacity_no_hits(
         self, spark, tpcds_base, w5_profile, tmp_path_factory

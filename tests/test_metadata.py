@@ -1,11 +1,7 @@
 """Tests for execution-metadata collection (warehouse.metadata)."""
 import pytest
 
-from repro.warehouse.metadata import (
-    build_depgraph,
-    measure_bandwidth,
-    profile_to_frame,
-)
+from repro.warehouse.metadata import build_depgraph
 
 
 class TestProfile:
@@ -35,12 +31,6 @@ class TestProfile:
         wl, prof = w5_profile
         assert prof.n_children["freq_items"] == 3
         assert prof.n_children["workload_summary"] == 0
-
-    def test_profile_frame(self, w5_profile):
-        _, prof = w5_profile
-        df = profile_to_frame(prof)
-        assert len(df) == len(prof.stats)
-        assert {"node", "out_bytes", "compute_s", "read_s"} <= set(df.columns)
 
 
 class TestDepgraphFromProfile:
@@ -72,8 +62,3 @@ class TestDepgraphFromProfile:
             expected = speedup_score(prof.stats[n], prof.n_children[n])
             assert g.scores[idx[n]] == pytest.approx(expected)
 
-
-class TestBandwidth:
-    def test_measures_positive(self, tmp_path):
-        read_bw, write_bw = measure_bandwidth(str(tmp_path), mb=8)
-        assert read_bw > 0 and write_bw > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.alternating import optimize
 from repro.core.graph import Plan
-from repro.sim.cluster import cluster_sweep, totals_pair, worker_factor
+from repro.sim.cluster import cluster_sweep, worker_factor
 from repro.sim.engine import simulate_run
 from repro.warehouse.executor import no_opt_plan
 from repro.warehouse.metadata import build_depgraph
@@ -112,9 +112,9 @@ class TestShortCircuiting:
         t2 = simulate_run(wl, prof, base, speed_factor=0.5)
         assert t2.end_to_end_s == pytest.approx(0.5 * t1.end_to_end_s)
 
-    def test_totals_pair_helper(self, sim_inputs):
+    def test_plan_not_slower_than_no_opt(self, sim_inputs):
         wl, prof, base, opt = sim_inputs
-        a, b = totals_pair(wl, prof, base, opt)
+        a, b = simulate_run(wl, prof, base), simulate_run(wl, prof, opt)
         assert a.end_to_end_s >= b.end_to_end_s
 
 

@@ -1,7 +1,7 @@
 """Unit tests for speedup-score estimation (repro.core.speedup)."""
 import pytest
 
-from repro.core.speedup import NodeStats, speedup_score, stats_from_bandwidth
+from repro.core.speedup import NodeStats, speedup_score
 
 
 class TestSpeedupScore:
@@ -45,24 +45,3 @@ class TestSpeedupScore:
         st = NodeStats(out_bytes=1e6, compute_s=1.0, write_s=-0.2, read_s=0.5)
         assert speedup_score(st, 2) == pytest.approx(2 * 0.5 - 0.2)
 
-
-class TestStatsFromBandwidth:
-    def test_paper_environment_bandwidths(self):
-        # paper §VI-A: 519.8 MB/s read, 358.9 MB/s write
-        st = stats_from_bandwidth(
-            1024**3, 10.0, read_bw=519.8e6, write_bw=358.9e6
-        )
-        assert st.read_s == pytest.approx(1024**3 / 519.8e6)
-        assert st.write_s == pytest.approx(1024**3 / 358.9e6)
-        assert st.mem_read_s == 0.0
-
-    def test_finite_memory_bandwidth(self):
-        st = stats_from_bandwidth(
-            1e9, 1.0, read_bw=5e8, write_bw=4e8, mem_bw=1e10
-        )
-        assert st.mem_read_s == pytest.approx(0.1)
-        assert st.read_s > st.mem_read_s
-
-    def test_write_slower_than_read(self):
-        st = stats_from_bandwidth(1e9, 1.0, read_bw=5e8, write_bw=3.5e8)
-        assert st.write_s > st.read_s
