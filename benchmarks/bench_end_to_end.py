@@ -11,7 +11,7 @@ comparison set. Driver logic in `repro.experiments.end_to_end_rows`.
 """
 from __future__ import annotations
 
-from benchmarks.conftest import NOMINAL_BYTES, save_results
+from benchmarks.conftest import BENCH_SF, NOMINAL_BYTES, save_results
 from repro.experiments import end_to_end_rows
 
 PAPER_FIG9_NOTE = (
@@ -32,17 +32,17 @@ def test_end_to_end_refresh(
         rounds=1,
         iterations=1,
     )
-    path = save_results("end_to_end", {"note": PAPER_FIG9_NOTE, "rows": rows})
-    print(f"\nEnd-to-end MV refresh at 1.6% Memory Catalog\n({PAPER_FIG9_NOTE})")
-    for r in rows:
-        extra = "".join(
-            f" {k}={r[k]}" for k in ("greedy_s", "ratio_s", "lru_s") if k in r
-        )
-        print(
-            f"{r['workload']:<10} no_opt={r['no_opt_s']}s sc={r['sc_s']}s "
-            f"speedup={r['speedup']}x flagged={r['n_flagged']}{extra}"
-        )
-    print(f"saved -> {path}")
+    sc = spark.sparkContext
+    environment = (
+        f"benchmarks/bench_end_to_end.py at BENCH_SF={BENCH_SF} on "
+        f"{sc.master} (defaultParallelism {sc.defaultParallelism}, "
+        f"{spark.conf.get('spark.sql.shuffle.partitions')} shuffle "
+        "partitions), one run per method, each workload planned from one "
+        "fresh profile"
+    )
+    save_results("end_to_end", {
+        "note": PAPER_FIG9_NOTE, "environment": environment, "rows": rows,
+    })
 
     # Shape (paper Fig. 9): the I/O-heavy workloads clearly speed up;
     # the compute-heavy ones sit near 1.0x (the paper's floor is 1.04x;

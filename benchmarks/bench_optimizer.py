@@ -10,22 +10,12 @@ near-linear growth, sub-second at 100 nodes, SA clearly slower.
 from __future__ import annotations
 
 from benchmarks.conftest import save_results
-from repro.experiments import OPT_METHODS, optimizer_scaling
-
-SIZES = [25, 50, 75, 100]
+from repro.experiments import optimizer_scaling
 
 
 def test_optimizer_scalability(benchmark):
-    results = benchmark.pedantic(
-        optimizer_scaling, args=(SIZES,), rounds=1, iterations=1
-    )
-    path = save_results("optimizer_scalability", results)
-    print("\nOptimization time (s, mean of 8 DAGs; paper: MKP+MA-DFS 0.02s "
-          "@100 nodes in C++)")
-    print(f"{'method':<16}" + "".join(f"{n:>10}" for n in SIZES))
-    for m in OPT_METHODS:
-        print(f"{m:<16}" + "".join(f"{results[m][n]:>10.4f}" for n in SIZES))
-    print(f"saved -> {path}")
+    results = benchmark.pedantic(optimizer_scaling, rounds=1, iterations=1)
+    save_results("optimizer_scalability", results)
 
     ours = results["mkp+madfs"]
     assert ours[100] < 1.0  # sub-second at 100 nodes (pure Python)

@@ -8,8 +8,7 @@ equivalent operations with Polars; we profile the real thing on Spark
     I/O ratio = (intermediate reads + writes) / (that + compute)
 
 — exactly the I/O S/C can short-circuit, the quantity Table III
-characterizes. Logic lives in `repro.experiments`; `jobs/table3.py` is
-the spark-submit twin of this bench.
+characterizes. Logic lives in `repro.experiments`.
 """
 from __future__ import annotations
 
@@ -21,17 +20,7 @@ def test_table3_workload_summary(profiles, benchmark):
     rows = benchmark.pedantic(
         table3_rows, args=(profiles,), rounds=1, iterations=1
     )
-    path = save_results("table3", rows)
-    print("\nTable III — Summary of workloads (paper vs measured)")
-    print(f"{'Workload':<10} {'Queries':<16} {'#Nodes':>6} {'paper':>6} "
-          f"{'I/O':>7} {'paper':>7}")
-    for r in rows:
-        print(
-            f"{r['workload']:<10} {r['tpcds_queries']:<16} "
-            f"{r['n_nodes']:>6} {r['paper_n_nodes']:>6} "
-            f"{r['io_ratio']:>7.1%} {r['paper_io_ratio']:>7.1%}"
-        )
-    print(f"saved -> {path}")
+    save_results("table3", rows)
     # Reproduction shape: node counts identical; every I/O workload is
     # I/O-heavier than Compute 1, which is the most compute-bound.
     ratios = {r["workload"]: r["io_ratio"] for r in rows}

@@ -16,40 +16,6 @@ import pytest
 from benchmarks.conftest import NOMINAL_BYTES, save_results
 from repro.experiments import TABLE4_PCTS, table4_sweep
 
-PAPER_TABLE4 = {
-    "TPC-DS": {
-        "read": {"no_opt": 4243, 0.004: 4308, 0.008: 3934, 0.016: 3574,
-                 0.032: 3128, 0.064: 2884},
-        "compute": {"no_opt": 8533, 0.004: 8587, 0.008: 8319, 0.016: 8283,
-                    0.032: 8249, 0.064: 8286},
-        "query": {"no_opt": 12776, 0.004: 12895, 0.008: 12253, 0.016: 11857,
-                  0.032: 11377, 0.064: 11170},
-    },
-    "TPC-DSp": {
-        "read": {"no_opt": 1710, 0.004: 1514, 0.008: 1314, 0.016: 1106,
-                 0.032: 1106, 0.064: 1096},
-        "compute": {"no_opt": 2843, 0.004: 2756, 0.008: 2709, 0.016: 2657,
-                    0.032: 2636, 0.064: 2644},
-        "query": {"no_opt": 4553, 0.004: 4270, 0.008: 4023, 0.016: 3763,
-                  0.032: 3742, 0.064: 3740},
-    },
-}
-
-
-def print_variant(label: str, res: dict) -> None:
-    print(f"\nTable IV — {label} (seconds; paper values at 100 GB in parens)")
-    cols = ["no_opt"] + TABLE4_PCTS
-    hdr = "  ".join(
-        f"{('No opt' if c == 'no_opt' else f'{c:.1%}'):>16}" for c in cols
-    )
-    print(f"{'Metric':<10}{hdr}")
-    for metric in ("read", "compute", "query"):
-        cells = [
-            f"{res[metric][c]:7.1f} ({PAPER_TABLE4[label][metric][c]:>5})"
-            for c in cols
-        ]
-        print(f"{metric:<10}" + "  ".join(f"{s:>16}" for s in cells))
-
 
 @pytest.mark.parametrize("variant", ["TPC-DS", "TPC-DSp"])
 def test_table4_memory_catalog_sweep(
@@ -61,7 +27,6 @@ def test_table4_memory_catalog_sweep(
     res = benchmark.pedantic(
         table4_sweep, args=(profs, NOMINAL_BYTES), rounds=1, iterations=1
     )
-    print_variant(variant, res)
     save_results(f"table4_{variant.lower().replace('-', '')}", res)
 
     reads = [res["read"]["no_opt"]] + [res["read"][p] for p in TABLE4_PCTS]

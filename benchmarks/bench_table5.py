@@ -29,14 +29,7 @@ def test_table5_cluster_scaling(profiles, benchmark):
     for r in rows:
         p = PAPER_TABLE5[r["workers"]]
         r["paper_no_opt_s"], r["paper_sc_s"], r["paper_speedup"] = p
-    path = save_results("table5", rows)
-    print("\nTable V — Cluster scaling, 1.6% Memory Catalog (ours | paper @100GB)")
-    print(f"{'Metric':<18}" + "".join(f"{k:>16}" for k in range(1, 6)))
-    for key, pkey in (("no_opt_s", "paper_no_opt_s"), ("sc_s", "paper_sc_s"),
-                      ("speedup", "paper_speedup")):
-        cells = [f"{r[key]}|{r[pkey]}" for r in rows]
-        print(f"{key:<18}" + "".join(f"{c:>16}" for c in cells))
-    print(f"saved -> {path}")
+    save_results("table5", rows)
 
     speedups = [r["speedup"] for r in rows]
     no_opts = [r["no_opt_s"] for r in rows]

@@ -7,8 +7,9 @@ Profiling and every run go through the emulated-NFS storage model
 paper's operating point; the Memory-Catalog sweep percentages
 (0.4 %–6.4 %) are taken of the *nominal* dataset size (sf × 1 GB), the
 same convention as the paper's "1.6 GB on 100 GB". Every bench writes
-its table to ``results/<name>.json`` so EXPERIMENTS.md can be
-regenerated from artifacts.
+its table to ``results/<name>.json`` and prints it as EXPERIMENTS.md
+shows it; ``python -m benchmarks.render`` regenerates EXPERIMENTS.md
+from those artifacts.
 """
 from __future__ import annotations
 
@@ -17,20 +18,21 @@ import os
 
 import pytest
 
+from benchmarks.render import RESULTS_DIR, section
 from repro.experiments import nominal_bytes, profile_all
 from repro.synth_data import write_tpcds
 
 BENCH_SF = float(os.environ.get("BENCH_SF", "0.1"))
 NOMINAL_BYTES = nominal_bytes(BENCH_SF)
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
-def save_results(name: str, obj) -> str:
+def save_results(name: str, obj) -> None:
+    """Write ``results/<name>.json`` and print the table it renders to."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, default=str)
-    return path
+    print(f"\n{path}\n{section(name)}")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,18 +1,21 @@
 """Render EXPERIMENTS.md from the benchmark artifacts in results/.
 
-    python jobs/render_experiments.py   # rewrites EXPERIMENTS.md
+    python -m benchmarks.render   # rewrites EXPERIMENTS.md
 
-Keeps the paper-vs-measured tables reproducible from the same JSON the
-benches emit, so EXPERIMENTS.md never drifts from the last run.
+Each bench saves its table to ``results/<name>.json`` and prints
+``section(name)``, so a bench run, its artifact and EXPERIMENTS.md show
+one formatting of the same numbers.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 
-ROOT = os.path.join(os.path.dirname(__file__), "..")
-RESULTS = os.path.join(ROOT, "results")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+RESULTS_DIR = os.path.join(ROOT, "results")
 
+# Paper Table IV (CPU seconds at 100 GB), in COLS order.
 PAPER_T4 = {
     "TPC-DS": {
         "read": [4243, 4308, 3934, 3574, 3128, 2884],
@@ -29,10 +32,10 @@ COLS = ["no_opt", "0.004", "0.008", "0.016", "0.032", "0.064"]
 
 
 def load(name):
-    path = os.path.join(RESULTS, f"{name}.json")
+    path = os.path.join(RESULTS_DIR, f"{name}.json")
     if not os.path.exists(path):
         return None
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return json.load(f)
 
 
@@ -93,8 +96,7 @@ def e2e_section(data):
             f" {r.get('greedy_s', '—')} | {r.get('ratio_s', '—')} |"
             f" {r.get('lru_s', '—')} |"
         )
-    if "environment" in data:
-        out.append(f"\nMeasured with {data['environment']}.")
+    out.append(f"\nMeasured with {data['environment']}.")
     return "\n".join(out)
 
 
@@ -110,27 +112,38 @@ def opt_section(res):
     return "\n".join(out)
 
 
-def main() -> None:
-    t3 = load("table3")
-    t4a = load("table4_tpcds")
-    t4b = load("table4_tpcdsp")
-    t5 = load("table5")
-    e2e = load("end_to_end")
-    opt = load("optimizer_scalability")
+SECTIONS = {
+    "table3": t3_section,
+    "table4_tpcds": functools.partial(t4_section, "TPC-DS"),
+    "table4_tpcdsp": functools.partial(t4_section, "TPC-DSp"),
+    "table5": t5_section,
+    "end_to_end": e2e_section,
+    "optimizer_scalability": opt_section,
+}
 
-    doc = f"""# EXPERIMENTS — paper vs. measured
+
+def section(name: str) -> str:
+    """The markdown table of artifact ``results/<name>.json``."""
+    data = load(name)
+    return SECTIONS[name](data) if data else "*run the benches first*"
+
+
+def render() -> str:
+    """EXPERIMENTS.md from the artifacts currently in results/."""
+    return f"""# EXPERIMENTS — paper vs. measured
 
 All measured numbers regenerate with:
 
 ```bash
 BENCH_SF=0.1 pytest benchmarks/ --benchmark-only   # writes results/*.json
-python jobs/render_experiments.py                  # rewrites this file
+python -m benchmarks.render                        # rewrites this file
 ```
 
-Environment: single container, Spark 4.1 `local[*]` (~16 cores),
-TPC-DS-lite at SF=0.1 (nominal 100 MB; the paper: Presto on a 48-core
-server, TPC-DS 10 GB–1 TB over NFS). Absolute seconds are therefore ~2-3
-orders of magnitude apart; the reproduction target is the *shape* of
+Environment: single container, Spark 4.1 in local mode (the end-to-end
+section names the master and its parallelism), TPC-DS-lite at SF=0.1
+(nominal 100 MB; the paper: Presto on a 48-core server, TPC-DS
+10 GB–1 TB over NFS). Absolute seconds are therefore ~2-3 orders of
+magnitude apart; the reproduction target is the *shape* of
 every table (who wins, monotonicity, flatness, crossovers), per the
 brief. Paper values are shown *(in italics/parentheses)*.
 
@@ -167,14 +180,13 @@ OR-Tools.
 
 ## Table III — Summary of workloads
 
-*(bench: `benchmarks/bench_table3.py`, job: `jobs/table3.py`,
-artifact: `results/table3.json`)*
+*(bench: `benchmarks/bench_table3.py`, artifact: `results/table3.json`)*
 
 The paper profiles I/O share with Polars; we profile on Spark:
 I/O ratio = (intermediate reads + writes) / (that + compute), i.e.
 exactly the I/O S/C can short-circuit.
 
-{t3_section(t3) if t3 else '*run the benches first*'}
+{section('table3')}
 
 Shape check ✓: node counts identical to the paper; the three I/O
 workloads are clearly more I/O-bound than Compute 1, which is the
@@ -182,8 +194,8 @@ least I/O-bound of the five.
 
 ## Table IV — Memory Catalog sweep (read / compute / query seconds)
 
-*(bench: `benchmarks/bench_table4.py`, job: `jobs/table4.py`,
-artifacts: `results/table4_tpcds.json`, `results/table4_tpcdsp.json`)*
+*(bench: `benchmarks/bench_table4.py`, artifacts:
+`results/table4_tpcds.json`, `results/table4_tpcdsp.json`)*
 
 Replayed from measured per-node metadata through the same additive
 accounting the paper's metric obeys (there, Query = Read + Compute
@@ -191,11 +203,11 @@ exactly); the optimizer re-plans at every catalog size.
 
 **TPC-DS**
 
-{t4_section('TPC-DS', t4a) if t4a else '*run the benches first*'}
+{section('table4_tpcds')}
 
 **TPC-DSp (date-partitioned)**
 
-{t4_section('TPC-DSp', t4b) if t4b else '*run the benches first*'}
+{section('table4_tpcdsp')}
 
 Shape check ✓: read latency falls monotonically with catalog size and
 saturates (TPC-DSp plateaus from 3.2 %, exactly as in the paper:
@@ -204,14 +216,13 @@ is cheaper than TPC-DS across the board.
 
 ## Table V — Cluster scaling (1.6 % Memory Catalog)
 
-*(bench: `benchmarks/bench_table5.py`, job: `jobs/table5.py`,
-artifact: `results/table5.json`)*
+*(bench: `benchmarks/bench_table5.py`, artifact: `results/table5.json`)*
 
 Cluster model: every time component scales by the Amdahl factor fitted
 on the paper's own no-opt column (serial fraction 14.5 %, <2 % error on
 all five of the paper's runtimes); see DESIGN.md §4.5.
 
-{t5_section(t5) if t5 else '*run the benches first*'}
+{section('table5')}
 
 Shape check ✓: runtime decreases with each added worker while S/C's
 speedup stays flat in worker count — the paper's headline observation
@@ -220,8 +231,7 @@ removes a scale-invariant fraction of the run).
 
 ## End-to-end refresh — real Spark runs (claim 1 / Fig. 9 numbers)
 
-*(bench: `benchmarks/bench_end_to_end.py`, job: `jobs/end_to_end.py`,
-artifact: `results/end_to_end.json`)*
+*(bench: `benchmarks/bench_end_to_end.py`, artifact: `results/end_to_end.json`)*
 
 Real executions at 1.6 % Memory Catalog: unoptimized run vs the full
 S/C pipeline (profile → MKP+MA-DFS plan → Controller with Memory
@@ -229,7 +239,7 @@ Catalog and overlapped materialization). Paper Fig. 9 @100 GB/1.6 GB:
 S/C 1.05–2.72× vs the raw engine on TPC-DS, up to 2.22× vs
 Greedy/Random/Ratio/LRU.
 
-{e2e_section(e2e) if e2e else '*run the benches first*'}
+{section('end_to_end')}
 
 Shape check: S/C beats or matches the unoptimized engine on every
 workload, with the largest wins where I/O dominates, and the LRU
@@ -248,8 +258,7 @@ dominates Greedy/Random/Ratio's on every instance, and the simulator
 
 ## Optimizer scalability (claim 7 / §VI-H)
 
-*(bench: `benchmarks/bench_optimizer.py`, job:
-`jobs/optimizer_scalability.py`, artifact:
+*(bench: `benchmarks/bench_optimizer.py`, artifact:
 `results/optimizer_scalability.json`)*
 
 Mean optimization time (s) over 8 generated DAGs per size. Paper:
@@ -258,10 +267,13 @@ Python with a capped branch-and-bound (`repro.core.mkp`), so the
 constant factor is larger; the shape target is near-linear growth,
 sub-second at 100 nodes, and SA slower than MKP+MA-DFS.
 
-{opt_section(opt) if opt else '*run the benches first*'}
+{section('optimizer_scalability')}
 """
-    with open(os.path.join(ROOT, "EXPERIMENTS.md"), "w") as f:
-        f.write(doc)
+
+
+def main() -> None:
+    with open(os.path.join(ROOT, "EXPERIMENTS.md"), "w", encoding="utf-8") as f:
+        f.write(render())
     print("wrote EXPERIMENTS.md")
 
 

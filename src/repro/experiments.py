@@ -1,10 +1,10 @@
 """Shared experiment drivers for the paper's evaluation tables.
 
 Each function produces the rows of one table (or the Fig. 9-style
-end-to-end comparison) from base-table paths and/or collected profiles;
-``benchmarks/bench_*.py`` and ``jobs/*.py`` are thin wrappers around
-these so pytest-benchmark runs and spark-submit runs measure the exact
-same code.
+end-to-end comparison) from base-table paths and/or collected profiles.
+``benchmarks/bench_*.py`` are thin wrappers around these: each asserts
+the paper's shape on its table and saves it under ``results/``, from
+which ``python -m benchmarks.render`` rebuilds EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.sim.cluster import cluster_sweep
 from repro.sim.engine import simulate_run
 from repro.warehouse.executor import no_opt_plan, run_workload
 from repro.warehouse.lru import run_workload_lru
-from repro.warehouse.storage import EMULATED_NFS, StorageModel
+from repro.warehouse.storage import EMULATED_NFS
 from repro.warehouse.metadata import (
     WorkloadProfile,
     build_depgraph,
@@ -47,17 +47,16 @@ def profile_all(
     tmpdir: str,
     *,
     partitioned: bool = False,
-    storage: StorageModel | None = EMULATED_NFS,
 ) -> Profiles:
     """Execution metadata for all five Table III workloads, profiled
-    against the emulated-NFS storage model by default (DESIGN.md §4.1)."""
+    against the emulated-NFS storage model (DESIGN.md §4.1)."""
     out: Profiles = {}
     for name, wl in all_workloads(partitioned=partitioned).items():
         out[name] = (
             wl,
             profile_workload(
                 spark, wl, base_paths, os.path.join(tmpdir, name),
-                storage=storage,
+                storage=EMULATED_NFS,
             ),
         )
     return out
@@ -150,11 +149,9 @@ def end_to_end_rows(
     out_root: str,
     *,
     budget: float,
-    baselines_on: str = "io1_profit_report",
-    storage: StorageModel | None = EMULATED_NFS,
 ) -> list[dict]:
-    """Real Spark refresh runs: no-opt vs S/C on every workload, plus
-    Greedy/Ratio flaggings and the LRU cache on ``baselines_on``."""
+    """Real Spark refresh runs over emulated NFS: no-opt vs S/C on every
+    workload, plus Greedy/Ratio flaggings and the LRU cache on I/O 1."""
     rows = []
     for name, (wl, prof) in profiles.items():
         sizes = {n: prof.stats[n].out_bytes for n in wl.node_names}
@@ -163,12 +160,12 @@ def end_to_end_rows(
         rep0 = run_workload(
             spark, wl, no_opt_plan(wl), sizes, 0.0,
             os.path.join(out_root, f"{name}_noopt"), base_paths,
-            storage=storage,
+            storage=EMULATED_NFS,
         )
         rep1 = run_workload(
             spark, wl, plan, sizes, budget,
             os.path.join(out_root, f"{name}_sc"), base_paths,
-            storage=storage,
+            storage=EMULATED_NFS,
         )
         row = {
             "workload": PAPER_TABLE3[name]["label"],
@@ -178,19 +175,19 @@ def end_to_end_rows(
             "n_flagged": len(rep1.flagged),
             "peak_catalog_mb": round(rep1.peak_catalog_bytes / 2**20, 2),
         }
-        if name == baselines_on:
+        if name == "io1_profit_report":
             for sel in ("greedy", "ratio"):
                 p = optimize(g, budget, node_selector=sel).plan
                 r = run_workload(
                     spark, wl, p, sizes, budget,
                     os.path.join(out_root, f"{name}_{sel}"), base_paths,
-                    storage=storage,
+                    storage=EMULATED_NFS,
                 )
                 row[f"{sel}_s"] = round(r.total_s, 3)
             r = run_workload_lru(
                 spark, wl, sizes, budget,
                 os.path.join(out_root, f"{name}_lru"), base_paths,
-                storage=storage,
+                storage=EMULATED_NFS,
             )
             row["lru_s"] = round(r.total_s, 3)
         rows.append(row)
@@ -207,14 +204,17 @@ OPT_METHODS = {
 }
 
 
-def optimizer_scaling(
-    sizes: list[int] = (25, 50, 75, 100), n_seeds: int = 8
-) -> dict:
+OPT_SIZES = (25, 50, 75, 100)
+OPT_SEEDS = 8  # generated DAGs per size
+
+
+def optimizer_scaling() -> dict:
+    """Mean ``optimize`` time (s) per method and DAG size."""
     results: dict = {m: {} for m in OPT_METHODS}
-    for n in sizes:
+    for n in OPT_SIZES:
         for m, kw in OPT_METHODS.items():
             ts = []
-            for seed in range(n_seeds):
+            for seed in range(OPT_SEEDS):
                 g = generate_dag(GenParams(n_nodes=n, seed=seed))
                 budget = 0.016 * sum(g.sizes)
                 t0 = time.perf_counter()

@@ -50,7 +50,7 @@ class StorageModel:
         time.sleep(self.write_delay(nbytes))
 
 
-# Calibrated figure used by all benchmarks and jobs. The absolute
+# Calibrated figure used by all benchmarks. The absolute
 # bandwidth is NOT the paper's array speed: the paper counts
 # serialization/compression as read/write cost (§II-C) and its
 # compute-per-byte at 100 GB is ~10x lower than Spark's at SF=0.1

@@ -6,6 +6,7 @@ flagged nodes live in the Memory Catalog within budget and are released
 right after their last child; every MV — flagged or not — ends up fully
 materialized on disk with exactly the declared contents.
 """
+import collections
 import dataclasses
 import os
 
@@ -18,6 +19,7 @@ from repro.oracle import assert_equivalent
 from repro.warehouse.catalog import CatalogOverflowError, MemoryCatalog
 from repro.warehouse.executor import no_opt_plan, run_workload
 from repro.warehouse.metadata import build_depgraph
+from repro.warehouse.storage import StorageModel
 from repro.workloads.tpcds import workload
 from tests.conftest import CacheProbe, duck_chain
 
@@ -239,3 +241,44 @@ class TestFailure:
                 spark, broken, plan, sizes, budget, str(tmp_path), tpcds_base
             )
         assert persistent_rdd_count(spark) <= before
+
+    def test_writer_raises(self, spark, tpcds_base, w5_profile, tmp_path):
+        """A flagged node's background transfer fails while its children
+        read it from the cache: the error surfaces, the refresh
+        unpersists what it cached, and the next refresh in the same
+        session succeeds."""
+        wl, prof = w5_profile
+        plan, sizes, budget = flag_everything(wl, prof)
+        counts = collections.Counter(sizes.values())
+        target = next(
+            nd.name for nd in wl.nodes
+            if counts[sizes[nd.name]] == 1
+            and any(nd.name in c.parents for c in wl.nodes)
+        )
+        storage = FailingWrite(
+            read_bw=1e15, write_bw=1e15, fail_bytes=sizes[target]
+        )
+        before = persistent_rdd_count(spark)
+        with pytest.raises(OSError, match="injected"):
+            run_workload(
+                spark, wl, plan, sizes, budget, str(tmp_path / "failed"),
+                tpcds_base, storage=storage,
+            )
+        assert persistent_rdd_count(spark) <= before
+        out = tmp_path / "after"
+        rep = run_workload(spark, wl, plan, sizes, budget, str(out), tpcds_base)
+        assert rep.flagged == frozenset(wl.node_names)
+        assert all(os.path.isdir(out / n) for n in wl.node_names)
+        assert persistent_rdd_count(spark) <= before
+
+
+@dataclasses.dataclass(frozen=True)
+class FailingWrite(StorageModel):
+    """A storage model whose write of exactly ``fail_bytes`` raises."""
+
+    fail_bytes: float = 0.0
+
+    def pay_write(self, nbytes: float) -> None:
+        if nbytes == self.fail_bytes:
+            raise OSError("injected transfer failure")
+        super().pay_write(nbytes)
