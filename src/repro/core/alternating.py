@@ -22,14 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.flagging import NODE_SELECTORS, simplified_mkp
+from repro.core.flagging import (
+    NODE_SELECTORS,
+    simplified_mkp,
+    solve_simplified_mkp,
+)
 from repro.core.graph import DepGraph, Plan
 from repro.core.madfs import ORDER_SCHEDULERS, ma_dfs
 
 
 @dataclass
 class OptResult:
-    """Converged plan plus a per-iteration trace for tests/diagnostics."""
+    """Converged plan plus a per-iteration trace for tests/diagnostics.
+
+    Each trace entry holds the iteration's flagged set, score and size;
+    with the ``simplified_mkp`` selector also ``mkp_optimal`` (the MKP
+    proved its optimum in every component) and ``mkp_explored`` (its
+    branch-and-bound nodes, summed over components).
+    """
 
     plan: Plan
     iterations: int
@@ -60,13 +70,19 @@ def optimize(
     trace: list[dict] = []
 
     for it in range(1, max_iterations + 1):
-        new_flagged = node_selector(g, tau, budget)
+        mkp_stats = {}
+        if node_selector is simplified_mkp:
+            new_flagged, mkp = solve_simplified_mkp(g, tau, budget)
+            mkp_stats = {"mkp_optimal": mkp.optimal, "mkp_explored": mkp.explored}
+        else:
+            new_flagged = node_selector(g, tau, budget)
         trace.append(
             {
                 "iter": it,
                 "flagged": set(new_flagged),
                 "score": g.total_score(new_flagged),
                 "size": sum(g.sizes[i] for i in new_flagged),
+                **mkp_stats,
             }
         )
         new_size = sum(g.sizes[i] for i in new_flagged)

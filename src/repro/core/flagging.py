@@ -20,13 +20,21 @@ from typing import Sequence
 
 from repro.core.constraints import excluded_nodes, get_constraints
 from repro.core.graph import DepGraph
-from repro.core.mkp import solve_mkp
+from repro.core.mkp import MKPResult, solve_mkp
 
 
 def simplified_mkp(
     g: DepGraph, order: Sequence[int], budget: float
 ) -> frozenset[int]:
     """Paper Algorithm 1: exact flagged-node selection for a fixed order."""
+    return solve_simplified_mkp(g, order, budget)[0]
+
+
+def solve_simplified_mkp(
+    g: DepGraph, order: Sequence[int], budget: float
+) -> tuple[frozenset[int], MKPResult]:
+    """``simplified_mkp``'s flagged set plus the MKP's result, whose
+    ``optimal`` is False when the search hit its node cap."""
     excl = excluded_nodes(g, budget)
     cons = get_constraints(g, order, budget)
     v_mkp = set().union(*cons) if cons else set()
@@ -36,7 +44,7 @@ def simplified_mkp(
     # Alg. 1 line 9: nodes in no constraint set and not excluded are
     # trivially flaggable.
     trivial = set(range(g.n)) - v_mkp - excl
-    return frozenset(res.chosen) | frozenset(trivial)
+    return frozenset(res.chosen) | frozenset(trivial), res
 
 
 def _flag_in_sequence(

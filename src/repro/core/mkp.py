@@ -12,24 +12,32 @@ stay within the paper's ~0.02 s budget on 100-node graphs:
   time-separated segments);
 * **greedy warm start** — a density-ordered feasible fill seeds the
   incumbent so pruning bites from the first branch;
-* **two-tier bounds** — a free O(1) suffix-profit bound first, then the
-  per-constraint fractional-knapsack bound (minimum over constraints of
-  ``current + profit outside the constraint + fractional fill inside``),
-  each an admissible relaxation;
+* **incremental bounds** — a free O(1) suffix-profit bound first, then
+  the per-constraint fractional-knapsack bound (minimum over constraints
+  of ``current + profit outside the constraint + fractional fill
+  inside``), each an admissible relaxation. The second is kept as
+  ``current + remaining profit - max_k gap_k``, where ``gap_k`` is the
+  remaining profit inside constraint k that its fractional fill leaves
+  out; branching on an item recomputes only its own constraints' gaps
+  (none when the item is taken and fits), so a node's test is one
+  ``max``;
 * items explored in descending profit-density order.
 
 Worst case remains exponential (MKP is NP-hard via 0-1 knapsack, paper
 §V); ``max_nodes`` caps the tree per component and falls back to the
-incumbent (feasible, near-optimal) if ever hit. S/C's realistic scores
-are strongly weight-correlated (score ≈ bytes/bandwidth), the hardest
-knapsack class, so the default cap keeps 100-node optimizations in the
-hundreds of milliseconds in pure Python (the paper's 0.02 s is C++
-OR-Tools); the incumbent always dominates the density-greedy fill, so
-capped solutions still upper-bound the Greedy baseline.
+incumbent (feasible, near-optimal) when hit, reporting
+``optimal=False``. S/C's realistic scores are strongly weight-correlated
+(score ≈ bytes/bandwidth), the hardest knapsack class, so 50-100 node
+generator DAGs mostly hit the default cap, which keeps a 100-node
+optimization near 0.3 s in pure Python on a 4-core x86 box (the paper's
+0.02 s is C++ OR-Tools). The incumbent always dominates the density-greedy fill,
+so capped solutions still upper-bound the Greedy baseline.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -111,81 +119,85 @@ def _bnb(
     capacity: float,
     max_nodes: int,
 ) -> MKPResult:
-    from bisect import bisect_left, bisect_right
-
     items = sorted(
         profits, key=lambda i: (-(profits[i] / max(weights[i], 1e-12)), i)
     )
     cons_sets = [set(c) for c in constraints]
-    member = {
-        i: tuple(k for k, c in enumerate(cons_sets) if i in c) for i in items
-    }
+    member = [
+        tuple(k for k, c in enumerate(cons_sets) if it in c) for it in items
+    ]
 
     suffix_profit = [0.0] * (len(items) + 1)
     for j in range(len(items) - 1, -1, -1):
         suffix_profit[j] = suffix_profit[j + 1] + profits[items[j]]
 
-    # Per-constraint prefix sums over the density-ordered item positions,
-    # so each single-constraint fractional bound is O(log) via bisect.
-    cons_pos: list[list[int]] = []  # item positions in constraint k
-    cons_pw: list[list[float]] = []  # prefix weights
-    cons_pp: list[list[float]] = []  # prefix profits
+    # Per constraint: prefix weights, prefix profits, weights and profits
+    # of its items in density order, so a fractional fill is one bisect.
+    cons: list[tuple[list[float], list[float], list[float], list[float]]] = []
     for cset in cons_sets:
-        pos = [j for j, it in enumerate(items) if it in cset]
-        pw = [0.0]
-        pp = [0.0]
-        for j in pos:
-            pw.append(pw[-1] + weights[items[j]])
-            pp.append(pp[-1] + profits[items[j]])
-        cons_pos.append(pos)
-        cons_pw.append(pw)
-        cons_pp.append(pp)
+        ws = [weights[it] for it in items if it in cset]
+        ps = [profits[it] for it in items if it in cset]
+        cons.append((list(accumulate(ws, initial=0.0)),
+                     list(accumulate(ps, initial=0.0)), ws, ps))
+    # branched[j]: (k, p) for each constraint k of item j, where k's
+    # items from its p-th on remain once the search has branched on j.
+    seen = [0] * len(cons_sets)
+    branched: list[tuple[tuple[int, int], ...]] = []
+    for ks in member:
+        for k in ks:
+            seen[k] += 1
+        branched.append(tuple((k, seen[k]) for k in ks))
 
     # Greedy warm start: density order, keep if feasible everywhere.
     loads0 = [0.0] * len(cons_sets)
     warm: list[int] = []
-    for i in items:
-        w = weights[i]
-        if all(loads0[k] + w <= capacity + 1e-9 for k in member[i]):
-            for k in member[i]:
+    for j, it in enumerate(items):
+        w = weights[it]
+        if all(loads0[k] + w <= capacity + 1e-9 for k in member[j]):
+            for k in member[j]:
                 loads0[k] += w
-            warm.append(i)
+            warm.append(it)
     best_profit = sum(profits[i] for i in warm)
     best_set = list(warm)
     explored = 0
     truncated = False
 
-    def tight_bound(j: int, cur: float, loads: list[float]) -> float:
-        """min over constraints of: cur + full profit of remaining items
-        outside the constraint + fractional knapsack fill inside it.
-        All prefix-sum lookups; admissible (skipped items only loosen it).
-        """
-        ub = cur + suffix_profit[j]
-        for k in range(len(cons_sets)):
-            pos, pw, pp = cons_pos[k], cons_pw[k], cons_pp[k]
-            p = bisect_left(pos, j)
-            in_total = pp[-1] - pp[p]  # remaining profit inside k
-            out_c = suffix_profit[j] - in_total
+    # gaps[k]: profit of k's remaining items that the fractional knapsack
+    # fill of k's residual capacity leaves out. The bound at depth j is
+    # ``cur + suffix_profit[j] - max(gaps)``: every remaining item, less
+    # what the tightest constraint cannot hold even fractionally, i.e.
+    # the least of the per-constraint fractional bounds. Admissible:
+    # skipped items only loosen it. Loads and gaps change only for the
+    # branched item's constraints and are restored on backtrack.
+    loads = [0.0] * len(cons_sets)
+    gaps = [0.0] * len(cons_sets)
+
+    def refresh(kps: Sequence[tuple[int, int]]) -> None:
+        """Recompute gaps[k] for each (k, p): k's remaining items are
+        its p-th on, under the load loads[k]."""
+        for k, p in kps:
+            pw, pp, ws, ps = cons[k]
+            in_total = pp[-1] - pp[p]
             residual = capacity - loads[k]
             if residual <= 0:
-                cand = cur + out_c
-            else:
-                # largest q with weight(pos[p..q)) <= residual
-                q = bisect_right(pw, pw[p] + residual) - 1
-                frac = pp[q] - pp[p]
-                if q < len(pos):
-                    spare = residual - (pw[q] - pw[p])
-                    wq = weights[items[pos[q]]]
-                    if spare > 0 and wq > 0:
-                        frac += profits[items[pos[q]]] * min(1.0, spare / wq)
-                cand = cur + out_c + frac
-            if cand < ub:
-                ub = cand
-                if ub <= best_profit + 1e-12:
-                    return ub
-        return ub
+                gaps[k] = in_total
+                continue
+            end = pw[p] + residual
+            if pw[-1] <= end:  # every remaining item fits
+                gaps[k] = 0.0
+                continue
+            # largest q with weight(k's items p..q-1) <= residual
+            q = bisect_right(pw, end) - 1
+            frac = pp[q] - pp[p]
+            spare = residual - (pw[q] - pw[p])
+            wq = ws[q]
+            if spare > 0 and wq > 0:
+                frac += ps[q] * min(1.0, spare / wq)
+            gaps[k] = in_total - frac
 
-    def dfs(j: int, cur: float, chosen: list[int], loads: list[float]) -> None:
+    refresh([(k, 0) for k in range(len(cons_sets))])
+
+    def dfs(j: int, cur: float, chosen: list[int]) -> None:
         nonlocal best_profit, best_set, explored, truncated
         explored += 1
         if truncated or explored > max_nodes:
@@ -198,19 +210,30 @@ def _bnb(
             return
         if cur + suffix_profit[j] <= best_profit + 1e-12:  # cheap bound
             return
-        if tight_bound(j, cur, loads) <= best_profit + 1e-12:
+        if cur + suffix_profit[j] - max(gaps) <= best_profit + 1e-12:
             return
         it = items[j]
         w = weights[it]
-        if all(loads[k] + w <= capacity + 1e-9 for k in member[it]):
-            for k in member[it]:
+        kps = branched[j]
+        saved = [gaps[k] for k, _ in kps]
+        if all(loads[k] + w <= capacity + 1e-9 for k, _ in kps):
+            for k, p in kps:
+                residual = capacity - loads[k]
                 loads[k] += w
+                # An item that fits in k's residual heads k's fractional
+                # fill, so taking it removes its profit from both terms
+                # of gaps[k], which stays as it was.
+                if residual <= 0 or w > residual:
+                    refresh(((k, p),))
             chosen.append(it)
-            dfs(j + 1, cur + profits[it], chosen, loads)
+            dfs(j + 1, cur + profits[it], chosen)
             chosen.pop()
-            for k in member[it]:
+            for k, _ in kps:
                 loads[k] -= w
-        dfs(j + 1, cur, chosen, loads)
+        refresh(kps)
+        dfs(j + 1, cur, chosen)
+        for (k, _), gap in zip(kps, saved):
+            gaps[k] = gap
 
-    dfs(0, 0.0, [], [0.0] * len(cons_sets))
+    dfs(0, 0.0, [])
     return MKPResult(frozenset(best_set), best_profit, not truncated, explored)

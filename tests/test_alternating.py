@@ -125,3 +125,31 @@ class TestProperties:
         g = DepGraph(n=1, edges=(), sizes=(5.0,), scores=(1.0,))
         res = optimize(g, 10)
         assert res.plan.flagged == frozenset({0})
+
+
+class TestMKPTrace:
+    """Each ``simplified_mkp`` iteration reports whether the MKP proved
+    its optimum and how many branch-and-bound nodes it explored."""
+
+    def test_capped_search_not_optimal(self):
+        from repro.workloads.generator import GenParams, generate_dag
+
+        g = generate_dag(GenParams(n_nodes=100, seed=0))
+        res = optimize(g, 0.016 * sum(g.sizes))
+        assert res.trace[0]["mkp_optimal"] is False
+        # a capped component explores max_nodes + 1 nodes
+        assert res.trace[0]["mkp_explored"] > 30_000
+
+    def test_small_workload_optimal(self):
+        from repro.workloads.tpcds import workload
+
+        wl = workload("io1_profit_report")
+        sizes = {n: 1000.0 * (i + 1) for i, n in enumerate(wl.node_names)}
+        g = wl.to_depgraph(sizes, sizes)
+        res = optimize(g, 0.1 * sum(g.sizes))
+        assert all(t["mkp_optimal"] is True for t in res.trace)
+        assert res.trace[0]["mkp_explored"] > 0
+
+    def test_other_selectors_carry_no_mkp_stats(self):
+        res = optimize(fig7_graph(), 100, node_selector="greedy")
+        assert all("mkp_optimal" not in t for t in res.trace)

@@ -57,11 +57,14 @@ class TestBasics:
         assert res.optimal
 
     def test_truncation_returns_feasible(self):
+        # profit ~ weight keeps the bound loose: the full search takes
+        # ~1900 nodes, so a 10-node cap truncates it
         profits = {i: float(i % 7 + 1) for i in range(24)}
-        weights = {i: float(i % 5 + 1) for i in range(24)}
+        weights = {i: profits[i] + 0.5 for i in range(24)}
         cons = [frozenset(range(0, 24, 2)), frozenset(range(1, 24, 2)),
                 frozenset(range(24))]
         res = solve_mkp(profits, weights, cons, 20, max_nodes=10)
+        assert not res.optimal
         for c in cons:
             assert sum(weights[i] for i in c & set(res.chosen)) <= 20 + 1e-9
 
@@ -135,3 +138,72 @@ class TestComponentDecomposition:
         cons = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]
         res = solve_mkp(profits, weights, cons, 2)
         assert res.explored >= 3
+
+
+# (sorted chosen, profit, optimal, explored) of ``solve_mkp`` on the
+# topological-order constraints of ``generate_dag(n=50, seed=s)`` at
+# M = 1.6 % of its total size, as the original per-constraint bound
+# (a full rescan of every constraint at every node) found them.
+TREE_GOLDEN = {
+    0: (
+        [9, 10, 15, 17, 20, 21, 22, 23, 29, 31, 36, 39, 45, 46, 47, 48, 49],
+        34.01645594106684, False, 30010,
+    ),
+    1: (
+        [0, 5, 6, 9, 11, 17, 27, 35, 36, 37, 43, 46, 47, 48, 49],
+        209.50333450236653, True, 1635,
+    ),
+    2: (
+        [5, 7, 8, 12, 14, 16, 19, 20, 22, 23, 24, 25, 26, 27, 29, 30, 31, 32,
+         33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
+        17.417400885932835, False, 30029,
+    ),
+    3: (
+        [3, 4, 15, 16, 19, 20, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33,
+         34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
+        5.107208560640004, False, 30012,
+    ),
+    4: (
+        [0, 8, 13, 16, 24, 30, 31, 32, 36, 37, 39, 40, 41, 42, 43, 44, 45, 46,
+         47, 48, 49],
+        33.8472540229129, False, 30006,
+    ),
+    5: (
+        [1, 3, 4, 8, 9, 20, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+         36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
+        37.35720266636188, False, 30026,
+    ),
+    6: (
+        [9, 10, 14, 16, 19, 20, 21, 22, 23, 24, 25, 26, 29, 31, 32, 33, 34, 35,
+         36, 38, 39, 43, 45, 46, 48],
+        54.88717609670789, True, 18729,
+    ),
+    7: (
+        [18, 19, 21, 22, 24, 30, 32, 33, 34, 38, 39, 40, 42, 43, 45, 46, 47,
+         48, 49],
+        140.45326466843656, True, 150,
+    ),
+}
+
+
+class TestSearchTree:
+    """Pins the branch-and-bound tree on the 50-node ``plan_synth``
+    DAGs: a bound or ordering change that prunes differently changes
+    ``explored`` (and, under the node cap, the incumbent)."""
+
+    @pytest.mark.parametrize("seed", sorted(TREE_GOLDEN))
+    def test_plan_synth_50_node_tree(self, seed):
+        from repro.core.constraints import get_constraints
+        from repro.workloads.generator import GenParams, generate_dag
+
+        g = generate_dag(GenParams(n_nodes=50, seed=seed))
+        budget = 0.016 * sum(g.sizes)
+        cons = get_constraints(g, g.topological_order(), budget)
+        items = sorted(set().union(*cons))
+        res = solve_mkp({i: g.scores[i] for i in items},
+                        {i: g.sizes[i] for i in items}, cons, budget)
+        chosen, profit, optimal, explored = TREE_GOLDEN[seed]
+        assert sorted(res.chosen) == chosen
+        assert res.profit == pytest.approx(profit, rel=1e-12)
+        assert res.optimal is optimal
+        assert res.explored == explored
