@@ -227,11 +227,15 @@ def _bnb(
                     refresh(((k, p),))
             chosen.append(it)
             dfs(j + 1, cur + profits[it], chosen)
+            if truncated:  # capped: unwind without touching the state
+                return
             chosen.pop()
             for k, _ in kps:
                 loads[k] -= w
         refresh(kps)
         dfs(j + 1, cur, chosen)
+        if truncated:
+            return
         for (k, _), gap in zip(kps, saved):
             gaps[k] = gap
 

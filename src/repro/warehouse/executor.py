@@ -3,15 +3,18 @@
 ``run_workload`` executes the workload's nodes one by one in the plan's
 order, directing where each output lives (paper Fig. 6):
 
-* **flagged** node → created directly in the Memory Catalog
-  (``persist()`` + materialize) and registered under its MV name so
-  downstream SQL reads it from memory; its Parquet files are encoded
-  locally right away (CPU work, kept on the critical path — it cannot
-  be hidden on shared cores) and the *storage transfer* to "NFS" runs
-  on a single-worker background thread, overlapping downstream compute
+* **flagged** node → created directly in the Memory Catalog and
+  registered under its MV name so downstream SQL reads it from memory:
+  it is ``persist()``-ed before its local Parquet encode, so the write
+  itself computes it and fills the cache, with no separate ``count()``
+  (the encode is CPU work, kept on the critical path — it cannot be
+  hidden on shared cores); the *storage transfer* to "NFS" runs on a
+  single-worker background thread, overlapping downstream compute
   exactly like the paper's disk channel;
 * **unflagged** node → encoded and transferred synchronously;
-  downstream reads re-scan Parquet and pay the transfer delay.
+  downstream reads re-scan Parquet and pay the transfer delay. The
+  read-back carries the node's known schema, so no Spark job infers it
+  from the files.
 
 A flagged node is released (unpersisted, catalog slot freed) once its
 last child has run and its background transfer is done, so every MV is
@@ -104,7 +107,8 @@ class ResidencyPolicy:
 
 def register_base_tables(spark: SparkSession, paths: dict[str, str]) -> None:
     """Expose base tables to SQL as views over their Parquet files (the
-    Hive-catalog analogue)."""
+    Hive-catalog analogue). Each registration infers the schema from the
+    files, since a base table may change schema at the same path."""
     for name, path in paths.items():
         spark.read.parquet(path).createOrReplaceTempView(name)
 
@@ -186,10 +190,8 @@ def _refresh(
             storage.pay_write(sizes[name])
 
     def cache(name: str, df: DataFrame) -> DataFrame:
-        df = df.persist(StorageLevel.MEMORY_AND_DISK)
-        cached[name] = df
-        df.count()  # materialize into the cache
-        return df
+        cached[name] = df.persist(StorageLevel.MEMORY_AND_DISK)
+        return cached[name]
 
     def release(name: str) -> None:
         cached.pop(name).unpersist()
@@ -244,6 +246,8 @@ def _refresh(
                 df = cache(nd.name, df)
             # Local Parquet encode, synchronous for every node: CPU work
             # stays on the critical path so overlap never hides compute.
+            # A flagged node's write also fills its cache (adaptive
+            # execution materializes the cache, then encodes from it).
             df.coalesce(n_output_partitions(nbytes)).write.mode(
                 "overwrite"
             ).parquet(path)
@@ -251,10 +255,12 @@ def _refresh(
                 transfers[nd.name] = pool.submit(transfer, nd.name)
             else:
                 transfer(nd.name)  # synchronous transfer, critical path
-                df = spark.read.parquet(path)
+                # The schema is known, so no job infers it from the files.
+                df = spark.read.schema(df.schema).parquet(path)
                 if policy.admit(nd.name, nbytes, catalog, release):
                     catalog.add(nd.name, nbytes)
                     df = cache(nd.name, df)
+                    df.count()  # fill on admission, like a result cache
             df.createOrReplaceTempView(nd.name)
             report.nodes.append(
                 NodeTiming(

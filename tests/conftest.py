@@ -8,6 +8,8 @@ workload and cached for the whole session.
 """
 from __future__ import annotations
 
+import os
+
 import duckdb
 import pytest
 
@@ -101,21 +103,49 @@ def spark_chain(spark, wl: WorkloadSpec, base_paths: dict) -> dict:
 
 class CacheProbe:
     """Stands in for the SparkSession in a refresh: before each node's
-    SQL runs, counts how many of its parents Spark still holds cached.
-    ``live[name]`` must equal the node's ``mem_parents``: a memory read
-    of a parent that is no longer cached is a silent recompute."""
+    SQL runs, records how many of its parents Spark still holds cached
+    (``live``) and how many of those have every partition of their
+    cached data in the block manager (``filled``). ``live[name]`` must
+    equal the node's ``mem_parents``: a memory read of a parent that is
+    no longer cached is a silent recompute, and so is one of a parent
+    whose cache was never filled."""
 
     def __init__(self, spark, wl: WorkloadSpec):
         self._spark = spark
         self._nodes = {nd.sql: nd for nd in wl.nodes}
         self.live: dict[str, int] = {}
+        self.filled: dict[str, int] = {}
 
     def sql(self, query: str):
         nd = self._nodes[query]
-        self.live[nd.name] = sum(
-            self._spark.catalog.isCached(p) for p in nd.parents
-        )
+        cached = [p for p in nd.parents if self._spark.catalog.isCached(p)]
+        self.live[nd.name] = len(cached)
+        self.filled[nd.name] = sum(map(self._is_filled, cached))
         return self._spark.sql(query)
+
+    def _is_filled(self, view: str) -> bool:
+        entry = (
+            self._spark._jsparkSession.sharedState()
+            .cacheManager()
+            .lookupCachedData(self._spark.table(view)._jdf)
+        )
+        return entry.isDefined() and (
+            entry.get().cachedRepresentation().cacheBuilder()
+            .isCachedColumnBuffersLoaded()
+        )
 
     def __getattr__(self, name):
         return getattr(self._spark, name)
+
+
+def assert_views_read_parquet_schema(spark, names, out: str) -> None:
+    """Each MV view in ``names`` has the field names and types Spark
+    infers from its Parquet files under ``out``, every field nullable
+    (as Parquet stores them)."""
+    for n in names:
+        view = spark.table(n).schema
+        files = spark.read.parquet(os.path.join(out, n)).schema
+        assert [(f.name, f.dataType) for f in view] == [
+            (f.name, f.dataType) for f in files
+        ], n
+        assert all(f.nullable for f in view), n

@@ -21,7 +21,11 @@ from repro.warehouse.executor import no_opt_plan, run_workload
 from repro.warehouse.metadata import build_depgraph
 from repro.warehouse.storage import StorageModel
 from repro.workloads.tpcds import workload
-from tests.conftest import CacheProbe, duck_chain
+from tests.conftest import (
+    CacheProbe,
+    assert_views_read_parquet_schema,
+    duck_chain,
+)
 
 
 class TestMemoryCatalog:
@@ -141,6 +145,8 @@ class TestNoOptRun:
         assert rep.flagged == frozenset()
         for n in wl.node_names:
             assert os.path.isdir(os.path.join(str(out), n))
+        # each output is read back under its known schema
+        assert_views_read_parquet_schema(spark, wl.node_names, str(out))
 
     def test_no_opt_terminal_matches_optimized(
         self, spark, w5_run, tpcds_base, w5_profile, tmp_path_factory
@@ -218,6 +224,8 @@ class TestLiveCache:
         counted = {t.name: t.mem_parents for t in rep.nodes}
         assert sum(counted.values()) == sum(len(nd.parents) for nd in wl.nodes)
         assert probe.live == counted
+        # each flagged parent's write filled its cache before any child ran
+        assert probe.filled == counted
 
 
 class TestFailure:

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from repro.warehouse.lru import run_workload_lru
-from tests.conftest import CacheProbe
+from tests.conftest import CacheProbe, assert_views_read_parquet_schema
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,11 @@ class TestLRUBaseline:
             probe, wl, sizes, frac * sum(sizes.values()), str(tmp_path),
             tpcds_base,
         )
-        assert probe.live == {t.name: t.mem_parents for t in rep.nodes}
+        counted = {t.name: t.mem_parents for t in rep.nodes}
+        assert probe.live == counted
+        assert probe.filled == counted  # filled on admission
+        # cached or not, each output's view carries its Parquet schema
+        assert_views_read_parquet_schema(spark, wl.node_names, str(tmp_path))
 
     def test_zero_capacity_no_hits(
         self, spark, tpcds_base, w5_profile, tmp_path_factory

@@ -67,6 +67,9 @@ class TestBasics:
         assert not res.optimal
         for c in cons:
             assert sum(weights[i] for i in c & set(res.chosen)) <= 20 + 1e-9
+        # the search stops at the cap, keeping the incumbent it had then
+        assert res.explored == 11
+        assert (sorted(res.chosen), res.profit) == ([3, 6, 13], 18.0)
 
     def test_zero_weight_items(self):
         res = solve_mkp({0: 5.0, 1: 3.0}, {0: 0.0, 1: 0.0},
@@ -147,7 +150,7 @@ class TestComponentDecomposition:
 TREE_GOLDEN = {
     0: (
         [9, 10, 15, 17, 20, 21, 22, 23, 29, 31, 36, 39, 45, 46, 47, 48, 49],
-        34.01645594106684, False, 30010,
+        34.01645594106684, False, 30001,
     ),
     1: (
         [0, 5, 6, 9, 11, 17, 27, 35, 36, 37, 43, 46, 47, 48, 49],
@@ -156,22 +159,22 @@ TREE_GOLDEN = {
     2: (
         [5, 7, 8, 12, 14, 16, 19, 20, 22, 23, 24, 25, 26, 27, 29, 30, 31, 32,
          33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
-        17.417400885932835, False, 30029,
+        17.417400885932835, False, 30001,
     ),
     3: (
         [3, 4, 15, 16, 19, 20, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33,
          34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
-        5.107208560640004, False, 30012,
+        5.107208560640004, False, 30001,
     ),
     4: (
         [0, 8, 13, 16, 24, 30, 31, 32, 36, 37, 39, 40, 41, 42, 43, 44, 45, 46,
          47, 48, 49],
-        33.8472540229129, False, 30006,
+        33.8472540229129, False, 30001,
     ),
     5: (
         [1, 3, 4, 8, 9, 20, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
          36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
-        37.35720266636188, False, 30026,
+        37.35720266636188, False, 30001,
     ),
     6: (
         [9, 10, 14, 16, 19, 20, 21, 22, 23, 24, 25, 26, 29, 31, 32, 33, 34, 35,
