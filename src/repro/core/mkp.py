@@ -21,6 +21,13 @@ stay within the paper's ~0.02 s budget on 100-node graphs:
   out; branching on an item recomputes only its own constraints' gaps
   (none when the item is taken and fits), so a node's test is one
   ``max``;
+* **per-call gap memo** — with the capacity fixed, a constraint's gap
+  depends only on which of its items remain (fixed for each branched
+  item) and on its exact float load, so each (item, constraint) row
+  keeps a ``load -> gap`` dict for the length of one ``_bnb`` call; on
+  the ``plan_synth`` sweep's 24 topological-order MKPs 89 % of the gap
+  evaluations are such repeats. The key is the exact load and a miss
+  runs the same float expressions, so the search tree is unchanged;
 * items explored in descending profit-density order.
 
 Worst case remains exponential (MKP is NP-hard via 0-1 knapsack, paper
@@ -29,9 +36,11 @@ incumbent (feasible, near-optimal) when hit, reporting
 ``optimal=False``. S/C's realistic scores are strongly weight-correlated
 (score ≈ bytes/bandwidth), the hardest knapsack class, so 50-100 node
 generator DAGs mostly hit the default cap, which keeps a 100-node
-optimization near 0.3 s in pure Python on a 4-core x86 box (the paper's
-0.02 s is C++ OR-Tools). The incumbent always dominates the density-greedy fill,
-so capped solutions still upper-bound the Greedy baseline.
+optimization near 0.13 s in pure Python (mean over generator seeds 0-7
+at M = 1.6 %, ``bench_optimizer`` on a 4-core x86 box; the paper's
+0.02 s is C++ OR-Tools). The incumbent always dominates the
+density-greedy fill, so capped solutions still upper-bound the Greedy
+baseline.
 """
 from __future__ import annotations
 
@@ -139,21 +148,52 @@ def _bnb(
         ps = [profits[it] for it in items if it in cset]
         cons.append((list(accumulate(ws, initial=0.0)),
                      list(accumulate(ps, initial=0.0)), ws, ps))
-    # branched[j]: (k, p) for each constraint k of item j, where k's
-    # items from its p-th on remain once the search has branched on j.
+
+    def fill_row(k: int, p: int) -> tuple:
+        """Constants of k's fractional fill once k's items from its p-th
+        on remain: their profit, the prefix weight and profit before
+        them, k's total weight, then k's prefix and item arrays."""
+        pw, pp, ws, ps = cons[k]
+        return (pp[-1] - pp[p], pw[p], pp[p], pw[-1], pw, pp, ws, ps)
+
+    def fill_gap(load: float, in_total: float, pw_p: float, pp_p: float,
+                 pw_last: float, pw: list[float], pp: list[float],
+                 ws: list[float], ps: list[float]) -> float:
+        """Profit of a constraint's remaining items (``fill_row``) that
+        the fractional fill of its residual capacity leaves out."""
+        residual = capacity - load
+        if residual <= 0:
+            return in_total
+        end = pw_p + residual
+        if pw_last <= end:  # every remaining item fits
+            return 0.0
+        # largest q whose remaining items before it weigh <= residual
+        q = bisect_right(pw, end) - 1
+        frac = pp[q] - pp_p
+        spare = residual - (pw[q] - pw_p)
+        wq = ws[q]
+        if spare > 0 and wq > 0:
+            frac += ps[q] * min(1.0, spare / wq)
+        return in_total - frac
+
+    # branched[j]: (k, memo, fill_row(k, p)) for each constraint k of item
+    # j, where k's items from its p-th on remain once the search has
+    # branched on j. With p and the capacity fixed, k's gap depends only
+    # on loads[k], so memo maps each exact load met to its gap.
     seen = [0] * len(cons_sets)
-    branched: list[tuple[tuple[int, int], ...]] = []
+    branched: list[tuple[tuple[int, dict[float, float], tuple], ...]] = []
     for ks in member:
         for k in ks:
             seen[k] += 1
-        branched.append(tuple((k, seen[k]) for k in ks))
+        branched.append(tuple((k, {}, fill_row(k, seen[k])) for k in ks))
 
     # Greedy warm start: density order, keep if feasible everywhere.
+    fit_cap = capacity + 1e-9
     loads0 = [0.0] * len(cons_sets)
     warm: list[int] = []
     for j, it in enumerate(items):
         w = weights[it]
-        if all(loads0[k] + w <= capacity + 1e-9 for k in member[j]):
+        if all(loads0[k] + w <= fit_cap for k in member[j]):
             for k in member[j]:
                 loads0[k] += w
             warm.append(it)
@@ -170,32 +210,7 @@ def _bnb(
     # skipped items only loosen it. Loads and gaps change only for the
     # branched item's constraints and are restored on backtrack.
     loads = [0.0] * len(cons_sets)
-    gaps = [0.0] * len(cons_sets)
-
-    def refresh(kps: Sequence[tuple[int, int]]) -> None:
-        """Recompute gaps[k] for each (k, p): k's remaining items are
-        its p-th on, under the load loads[k]."""
-        for k, p in kps:
-            pw, pp, ws, ps = cons[k]
-            in_total = pp[-1] - pp[p]
-            residual = capacity - loads[k]
-            if residual <= 0:
-                gaps[k] = in_total
-                continue
-            end = pw[p] + residual
-            if pw[-1] <= end:  # every remaining item fits
-                gaps[k] = 0.0
-                continue
-            # largest q with weight(k's items p..q-1) <= residual
-            q = bisect_right(pw, end) - 1
-            frac = pp[q] - pp[p]
-            spare = residual - (pw[q] - pw[p])
-            wq = ws[q]
-            if spare > 0 and wq > 0:
-                frac += ps[q] * min(1.0, spare / wq)
-            gaps[k] = in_total - frac
-
-    refresh([(k, 0) for k in range(len(cons_sets))])
+    gaps = [fill_gap(0.0, *fill_row(k, 0)) for k in range(len(cons_sets))]
 
     def dfs(j: int, cur: float, chosen: list[int]) -> None:
         nonlocal best_profit, best_set, explored, truncated
@@ -214,30 +229,44 @@ def _bnb(
             return
         it = items[j]
         w = weights[it]
-        kps = branched[j]
-        saved = [gaps[k] for k, _ in kps]
-        if all(loads[k] + w <= capacity + 1e-9 for k, _ in kps):
-            for k, p in kps:
+        rows = branched[j]
+        saved = [gaps[k] for k, _, _ in rows]
+        for k, _, _ in rows:
+            if loads[k] + w > fit_cap:
+                break
+        else:
+            for k, memo, row in rows:
                 residual = capacity - loads[k]
-                loads[k] += w
+                load = loads[k] = loads[k] + w
                 # An item that fits in k's residual heads k's fractional
                 # fill, so taking it removes its profit from both terms
                 # of gaps[k], which stays as it was.
                 if residual <= 0 or w > residual:
-                    refresh(((k, p),))
+                    gap = memo.get(load)
+                    if gap is None:
+                        gap = memo[load] = fill_gap(load, *row)
+                    gaps[k] = gap
             chosen.append(it)
             dfs(j + 1, cur + profits[it], chosen)
             if truncated:  # capped: unwind without touching the state
                 return
             chosen.pop()
-            for k, _ in kps:
+            for k, _, _ in rows:
                 loads[k] -= w
-        refresh(kps)
+        for k, memo, row in rows:
+            load = loads[k]
+            gap = memo.get(load)
+            if gap is None:
+                gap = memo[load] = fill_gap(load, *row)
+            gaps[k] = gap
         dfs(j + 1, cur, chosen)
         if truncated:
             return
-        for (k, _), gap in zip(kps, saved):
+        for (k, _, _), gap in zip(rows, saved):
             gaps[k] = gap
 
     dfs(0, 0.0, [])
+    # dfs refers to itself through its closure; break that cycle so the
+    # memos go when the call returns, not at the next cyclic collection.
+    del dfs
     return MKPResult(frozenset(best_set), best_profit, not truncated, explored)

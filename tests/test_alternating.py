@@ -150,6 +150,24 @@ class TestMKPTrace:
         assert all(t["mkp_optimal"] is True for t in res.trace)
         assert res.trace[0]["mkp_explored"] > 0
 
+    @pytest.mark.parametrize("n,seed", [(50, 1), (75, 0)])
+    def test_first_iteration_is_topological_order_mkp(self, n, seed):
+        # Alg. 2 starts from the topological order, so trace[0] carries
+        # the counts of ``solve_mkp`` on that order's constraint sets.
+        from repro.core.constraints import get_constraints
+        from repro.core.mkp import solve_mkp
+        from repro.workloads.generator import GenParams, generate_dag
+
+        g = generate_dag(GenParams(n_nodes=n, seed=seed))
+        budget = 0.016 * sum(g.sizes)
+        res = optimize(g, budget, initial_order=None)
+        cons = get_constraints(g, g.topological_order(), budget)
+        items = sorted(set().union(*cons))
+        mkp = solve_mkp({i: g.scores[i] for i in items},
+                        {i: g.sizes[i] for i in items}, cons, budget)
+        assert res.trace[0]["mkp_explored"] == mkp.explored
+        assert res.trace[0]["mkp_optimal"] is mkp.optimal
+
     def test_other_selectors_carry_no_mkp_stats(self):
         res = optimize(fig7_graph(), 100, node_selector="greedy")
         assert all("mkp_optimal" not in t for t in res.trace)
